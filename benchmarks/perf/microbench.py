@@ -86,13 +86,15 @@ def _kernel_lz77_tokenize() -> Callable[[], None]:
 
 
 def _kernel_lz77_tokenize_batch() -> Callable[[], None]:
-    """The page-batch tokenizer entry the batch codec API drives: one
-    call amortizes scratch allocation and dispatch over all pages."""
+    """The per-page ``tokenize_packed`` loop the batch codec API
+    drives."""
     matcher = Lz77Matcher(window_size=4096)
     pages = _bench_pages()
+    tokenize = matcher.tokenize_packed
 
     def op() -> None:
-        matcher.tokenize_packed_batch(pages)
+        for page in pages:
+            tokenize(page)
 
     return op
 

@@ -10,7 +10,7 @@ compiles at most once per machine.
 Availability is strictly best-effort: if ``REPRO_NO_NATIVE`` is set, no
 compiler is present, compilation fails, or the library will not load,
 :func:`load` returns ``None`` and every caller silently stays on the
-pure-Python/numpy engines.  Correctness never depends on this module —
+pure-Python engines.  Correctness never depends on this module —
 the native kernels are bit-exact translations, and the test suite runs
 the differential checks both with and without it.
 """

@@ -86,10 +86,6 @@ class CodecSpec:
         """Single-core compression throughput at clock ``freq_hz``."""
         return freq_hz / self.compress_cycles_per_byte
 
-    def decompress_throughput_bps(self, freq_hz: float) -> float:
-        """Single-core decompression throughput at clock ``freq_hz``."""
-        return freq_hz / self.decompress_cycles_per_byte
-
 
 class Codec(ABC):
     """A lossless byte-stream codec.

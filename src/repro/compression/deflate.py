@@ -30,7 +30,7 @@ future format changes.
 
 Hot paths dispatch to the optional native kernels in
 :mod:`repro.compression._native` (bit-exact C translations, compiled on
-demand); every call falls back to the pure-Python/numpy engines when the
+demand); every call falls back to the pure-Python engines when the
 library is unavailable, and any native decode error re-runs the Python
 decoder so error semantics stay identical.
 """
@@ -227,16 +227,6 @@ def _rle_code_lengths(lengths: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 _CL_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
-
-
-def _varint_bits(value: int) -> int:
-    """Bit cost of ``_write_varint_bits(value)``: 8 bits per 7-bit group."""
-    bits = 8
-    value >>= 7
-    while value:
-        bits += 8
-        value >>= 7
-    return bits
 
 
 def _fixed_litlen_lengths() -> List[int]:
@@ -492,7 +482,8 @@ def train_static_tables(
     )
     ll_freq = np.zeros(_NUM_LITLEN, dtype=np.int64)
     dist_freq = np.zeros(_NUM_DIST, dtype=np.int64)
-    for tokens in matcher.tokenize_packed_batch(corpus):
+    for page in corpus:
+        tokens = matcher.tokenize_packed(page)
         page_ll, page_dist, _ = _token_stats(
             np.frombuffer(tokens, dtype=np.int64)
         )
@@ -545,33 +536,22 @@ class DeflateCodec(Codec):
     # -- encode ----------------------------------------------------------
 
     def compress(self, data: bytes) -> bytes:
-        packed = self._matcher.tokenize_packed(data) if data else None
-        return self._blob(data, packed)
+        return self._blob(data)
 
     def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Compress a batch of pages in one call.
-
-        The LZ77 stage runs as one batched tokenize (shared numpy
-        working set / one native call per page), and table, header and
-        scratch caches stay hot across the whole batch.
-        """
+        """Compress a batch of pages in one call; table, header and
+        scratch caches stay hot across the whole batch."""
         pages = list(pages)
         if not pages:
             return []
-        token_iter = iter(
-            self._matcher.tokenize_packed_batch([p for p in pages if p])
-        )
-        blobs = [
-            self._blob(page, next(token_iter) if page else None)
-            for page in pages
-        ]
+        blobs = [self._blob(page) for page in pages]
         batch_stats.compress_batch_calls += 1
         batch_stats.compress_batch_pages += len(pages)
         return blobs
 
-    def _blob(self, data: bytes, packed) -> bytes:
+    def _blob(self, data: bytes) -> bytes:
         if data:
-            mode, body = self._encode_body(data, packed)
+            mode, body = self._encode_body(data)
         else:
             mode, body = _MODE_STORED, data
         writer = BitWriter()
@@ -584,7 +564,7 @@ class DeflateCodec(Codec):
         writer.write_bytes(body)
         return writer.getvalue()
 
-    def _encode_body(self, data: bytes, packed) -> Tuple[int, bytes]:
+    def _encode_body(self, data: bytes) -> Tuple[int, bytes]:
         """Pick the cheapest mode analytically, then render only it.
 
         Without static tables the candidate order (stored, dynamic,
@@ -594,6 +574,7 @@ class DeflateCodec(Codec):
         are stored, static, fixed — which is the whole point of
         training tables offline.
         """
+        packed = self._matcher.tokenize_packed(data)
         tok_np = np.frombuffer(packed, dtype=np.int64)
         ll_freq, dist_freq, extra_bits = _token_stats(tok_np)
         best_len = len(data)

@@ -40,16 +40,6 @@ _HASH_MULT = 2654435761
 _NATIVE_TABLE_SCRATCH = None
 
 
-def _hash4(data: bytes, i: int) -> int:
-    key = (
-        data[i]
-        | (data[i + 1] << 8)
-        | (data[i + 2] << 16)
-        | (data[i + 3] << 24)
-    )
-    return ((key * _HASH_MULT) >> 16) & _HASH_MASK
-
-
 def _write_varint(out: bytearray, value: int) -> None:
     while True:
         chunk = value & 0x7F

@@ -17,7 +17,7 @@ Blob layout::
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.compression.base import Codec, CodecSpec, batch_stats, register_codec
 from repro.compression.bitio import BitReader, BitWriter
@@ -89,20 +89,13 @@ class ZstdLikeCodec(Codec):
         self.window_size = window_size
 
     def compress(self, data: bytes) -> bytes:
-        return self._compress_one(data, None)
+        return self._compress_one(data)
 
     def compress_batch(self, pages: Sequence[bytes]) -> List[bytes]:
-        """Batched compress: one batched tokenize feeds every page."""
         pages = list(pages)
         if not pages:
             return []
-        token_iter = iter(
-            self._matcher.tokenize_packed_batch([p for p in pages if p])
-        )
-        blobs = [
-            self._compress_one(page, next(token_iter) if page else None)
-            for page in pages
-        ]
+        blobs = [self._compress_one(page) for page in pages]
         batch_stats.compress_batch_calls += 1
         batch_stats.compress_batch_pages += len(pages)
         return blobs
@@ -113,8 +106,8 @@ class ZstdLikeCodec(Codec):
         batch_stats.decompress_batch_pages += len(blobs)
         return pages
 
-    def _compress_one(self, data: bytes, packed) -> bytes:
-        body = self._compress_body(data, packed) if data else b""
+    def _compress_one(self, data: bytes) -> bytes:
+        body = self._compress_body(data) if data else b""
         writer = BitWriter()
         if not data or len(body) + 3 >= len(data):
             writer.write_bits(_MAGIC, 8)
@@ -132,9 +125,8 @@ class ZstdLikeCodec(Codec):
         writer.write_bytes(body)
         return writer.getvalue()
 
-    def _compress_body(self, data: bytes, packed=None) -> bytes:
-        if packed is None:
-            packed = self._matcher.tokenize_packed(data)
+    def _compress_body(self, data: bytes) -> bytes:
+        packed = self._matcher.tokenize_packed(data)
         literals = bytearray()
         append_literal = literals.append
         # Sequence: (literal_run, match_length, offset); a trailing run of

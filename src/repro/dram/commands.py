@@ -26,17 +26,6 @@ class CommandKind(enum.Enum):
     NMA_WR = "nma_write"
 
     @property
-    def is_host(self) -> bool:
-        """True for commands issued by the CPU memory controller."""
-        return self in (
-            CommandKind.ACT,
-            CommandKind.PRE,
-            CommandKind.RD,
-            CommandKind.WR,
-            CommandKind.REF,
-        )
-
-    @property
     def is_nma(self) -> bool:
         """True for DIMM-internal accelerator accesses."""
         return self in (CommandKind.NMA_RD, CommandKind.NMA_WR)

@@ -10,7 +10,7 @@ additionally uses the closed-form :func:`loaded_latency_ns` queueing curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.commands import CommandKind, TimedCommand
@@ -29,17 +29,6 @@ class MemoryRequest:
     bank: int
     row: int
     is_write: bool = False
-
-
-@dataclass
-class CompletedRequest:
-    request: MemoryRequest
-    start_ns: float
-    finish_ns: float
-
-    @property
-    def latency_ns(self) -> float:
-        return self.finish_ns - self.request.arrival_ns
 
 
 class ControllerStats(StatsFacade):

@@ -93,7 +93,3 @@ class AccessEnergyModel:
         return 1.0 - conditional_j / random_j
 
     # -- background ----------------------------------------------------------
-
-    def refresh_energy_j_per_s(self, refs_per_s: float) -> float:
-        """Refresh energy rate for one rank."""
-        return refs_per_s * self.refresh_nj_per_ref * 1e-9

@@ -90,10 +90,6 @@ class RefreshWindow:
     #: REF slot (0..8191) within the retention cycle.
     slot: Optional[int] = None
 
-    @property
-    def row_set(self) -> frozenset:
-        return frozenset(self.rows)
-
 
 class RefreshPolicy:
     """Base policy: integer-tick window cadence over one rank.

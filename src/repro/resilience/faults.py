@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
@@ -113,12 +113,6 @@ class FaultPlan:
         sites = [spec.site for spec in self.specs]
         if len(sites) != len(set(sites)):
             raise ConfigError("FaultPlan has duplicate sites")
-
-    def spec_for(self, site: str) -> Optional[FaultSpec]:
-        for spec in self.specs:
-            if spec.site == site:
-                return spec
-        return None
 
 
 @dataclass(frozen=True)

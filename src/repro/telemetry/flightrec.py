@@ -84,9 +84,8 @@ class FlightRecorder:
         )
         #: reason -> number of dumps written for it so far.
         self._dump_counts: Dict[str, int] = {}
-        #: paths of every dump file written (empty when out_dir is unset).
-        self.dumps: List[str] = []
-        #: filenames of every dump, whether or not it reached disk.
+        #: filenames of every dump; each is written under ``out_dir``
+        #: when one is configured.
         self.dump_names: List[str] = []
         #: every dump document, whether or not it reached disk.
         self.documents: List[Dict[str, object]] = []
@@ -146,7 +145,6 @@ class FlightRecorder:
             path = os.path.join(self.out_dir, filename)
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
-            self.dumps.append(path)
         return filename
 
 

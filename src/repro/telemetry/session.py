@@ -151,8 +151,11 @@ class TelemetrySession:
             "capacity": self.ring.capacity,
             "dropped": self.ring.dropped,
         }
-        if self.flight.dumps:
-            doc["flight_records"] = list(self.flight.dumps)
+        # Names relative to the output directory, as the fleet and chaos
+        # reports list them, so the document does not depend on where
+        # the run was written.
+        if self.flight.out_dir and self.flight.dump_names:
+            doc["flight_records"] = list(self.flight.dump_names)
         return doc
 
     # -- export ------------------------------------------------------------

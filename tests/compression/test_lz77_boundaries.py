@@ -48,18 +48,6 @@ class TestMaxMatchAtPageBoundary:
                 if isinstance(t, Match)
             )
 
-    def test_batch_tokenizer_agrees_on_boundary_runs(self):
-        matcher = Lz77Matcher(window_size=4096)
-        pages = [
-            b"x" * PAGE,
-            bytes(range(37)) + b"y" * (PAGE - 37),
-            b"\x00" * PAGE,
-            b"",
-        ]
-        batch = matcher.tokenize_packed_batch(pages)
-        for page, packed in zip(pages, batch):
-            assert list(packed) == list(matcher.tokenize_packed(page))
-
 
 class TestWindowEquivalence:
     """When every match fits within 1 KiB of history, a 1 KiB-window

@@ -1,4 +1,4 @@
-"""Native C hot-path kernels vs the pure-Python/numpy reference.
+"""Native C hot-path kernels vs the pure-Python reference.
 
 The accelerator contract is byte-identity: ``_hotpath.c`` is a
 decision-for-decision translation, so flipping ``REPRO_NO_NATIVE`` must
@@ -33,7 +33,14 @@ def _corpus():
         page
         for corpus in sorted(CORPUS_NAMES)
         for page in corpus_pages(corpus, 2, seed=21)
-    ] + [b"", b"\x00" * 4096, b"a" * 4096]
+    ] + [
+        b"",
+        b"\x00" * 4096,
+        b"a" * 4096,
+        # MAX_MATCH runs that end exactly at the page boundary.
+        b"x" * 4096,
+        bytes(range(37)) + b"y" * (4096 - 37),
+    ]
 
 
 @pytest.mark.skipif(

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.compression import _native
 from repro.fleet.harness import FleetConfig, format_report, run_fleet
 
 #: Test-sized campaign: ~2900 arrivals, ~1.5 s host time.
@@ -171,3 +172,32 @@ class TestReportArtifacts:
         assert (tmp_path / "metrics.json").exists()
         for name in report["flight_records"]:
             assert (tmp_path / name).exists()
+
+
+class TestEngineEquivalence:
+    """The scalar LZ77/deflate fallback and the C kernels agree through
+    the whole stack: every campaign artifact is byte-identical whichever
+    engine ran, and none depends on the directory it was written to."""
+
+    ARTIFACTS = ("fleet_report.json", "trace.json", "metrics.json")
+
+    @pytest.mark.skipif(
+        not _native.available(), reason="no native kernels on this host"
+    )
+    def test_native_and_python_engines_write_identical_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        native_dir = tmp_path / "native"
+        python_dir = tmp_path / "python"
+        run_fleet(SPIKE_CONFIG, native_dir)
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        _native.reset_for_tests()
+        try:
+            assert not _native.available()
+            run_fleet(SPIKE_CONFIG, python_dir)
+        finally:
+            monkeypatch.delenv("REPRO_NO_NATIVE")
+            _native.reset_for_tests()
+        for name in self.ARTIFACTS:
+            native_bytes = (native_dir / name).read_bytes()
+            assert native_bytes == (python_dir / name).read_bytes(), name

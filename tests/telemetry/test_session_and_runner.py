@@ -123,9 +123,7 @@ class TestFlightRecorderLifecycle:
             flightrec.trigger(flightrec.REASON_POISON, {"vaddr": 0})
         assert (tmp_path / "flight_poison.json").exists()
         metrics = _load(tmp_path / "metrics.json")
-        assert metrics["flight_records"] == [
-            str(tmp_path / "flight_poison.json")
-        ]
+        assert metrics["flight_records"] == ["flight_poison.json"]
 
 
 class TestGoldenEmulatorTrace:
