@@ -288,7 +288,7 @@ def _symbol_bits(ll_freq, dist_freq, extra_bits, ll_len_np, d_len_np) -> int:
 
 #: Huffman tables keyed by (max_length, frequency bytes). Pages from one
 #: workload repeat symbol distributions constantly (and benchmarks
-#: repeat pages exactly), so the heap build — the priciest per-page step
+#: repeat pages exactly), so the tree build — the priciest per-page step
 #: after matching — amortises to a dict probe.
 _TABLE_CACHE: Dict[Tuple[int, bytes], HuffmanTable] = {}
 _TABLE_CACHE_LIMIT = 1024

@@ -17,6 +17,7 @@ loads (hot pages get re-faulted, like real swap traffic).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -52,18 +53,49 @@ class Arrival:
     phase: str
 
 
+def _xorshift_page(state: int) -> bytes:
+    """One noise page: the low byte of each of ``PAGE_SIZE`` successive
+    xorshift32 states. The scalar reference, and the basis builder."""
+    out = bytearray(PAGE_SIZE)
+    for i in range(PAGE_SIZE):
+        state ^= (state << 13) & 0xFFFFFFFF
+        state ^= state >> 17
+        state ^= (state << 5) & 0xFFFFFFFF
+        out[i] = state & 0xFF
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _noise_basis() -> Tuple[int, ...]:
+    """Noise page of each one-bit state ``1 << b``, as a little-endian
+    int; built once, on the first noise page (~75 ms)."""
+    return tuple(
+        int.from_bytes(_xorshift_page(1 << bit), "little") for bit in range(32)
+    )
+
+
+def _noise_page(state: int) -> bytes:
+    """``_xorshift_page(state)`` in ~1% of its time.
+
+    xorshift32 is linear over GF(2), and so is taking the low byte of
+    each step, so the page for ``state`` is the XOR of the basis pages
+    of its set bits.
+    """
+    acc = 0
+    for page in _noise_basis():
+        if state & 1:
+            acc ^= page
+        state >>= 1
+    return acc.to_bytes(PAGE_SIZE, "little")
+
+
 def page_for(seed: int, key: int) -> bytes:
     """Deterministic page content keyed by (seed, key); every 5th page
     is incompressible noise so stores exercise tier fall-through."""
     if key % 5 == 4:
-        state = ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
-        out = bytearray(PAGE_SIZE)
-        for i in range(PAGE_SIZE):
-            state ^= (state << 13) & 0xFFFFFFFF
-            state ^= state >> 17
-            state ^= (state << 5) & 0xFFFFFFFF
-            out[i] = state & 0xFF
-        return bytes(out)
+        return _noise_page(
+            ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
+        )
     unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
     return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
 

@@ -29,6 +29,7 @@ from repro.errors import (
     SfmError,
     TierUnavailableError,
 )
+from repro.fleet.traffic import page_for
 from repro.resilience import faults as _faults
 from repro.resilience.breaker import BreakerConfig
 from repro.telemetry import flightrec as _flightrec
@@ -107,23 +108,6 @@ class ChaosConfig:
             raise ConfigError("ops must be positive")
 
 
-def _page_for(seed: int, key: int) -> bytes:
-    """Deterministic page content: compressible pattern keyed by
-    (seed, key), with every 5th page incompressible noise so stores
-    exercise the fall-through path."""
-    if key % 5 == 4:
-        state = ((seed * 1_000_003 + key) * 2654435761 + 1) & 0xFFFFFFFF
-        out = bytearray(PAGE_SIZE)
-        for i in range(PAGE_SIZE):
-            state ^= (state << 13) & 0xFFFFFFFF
-            state ^= state >> 17
-            state ^= (state << 5) & 0xFFFFFFFF
-            out[i] = state & 0xFF
-        return bytes(out)
-    unit = bytes([(seed + key * 7 + j) % 251 for j in range(64)])
-    return (unit * (PAGE_SIZE // len(unit)))[:PAGE_SIZE]
-
-
 def run_chaos(
     config: ChaosConfig,
     out_dir: Optional[object] = None,
@@ -191,7 +175,7 @@ def _drive_campaign(
         nonlocal next_key
         key = next_key
         next_key += 1
-        data = _page_for(config.seed, key)
+        data = page_for(config.seed, key)
         counters["stores"] += 1
         if pipeline.store(key, data):
             shadow[key] = data

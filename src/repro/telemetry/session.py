@@ -10,7 +10,7 @@ exit; exiting turns everything off.
 produces
 
 * ``trace.json``  — Chrome trace-event JSON (open in Perfetto or
-  ``about:tracing``), and
+  ``about:tracing``), compact and written one event at a time, and
 * ``metrics.json`` — the registry snapshot plus every stats facade
   attached with :meth:`add_stats`,
 
@@ -166,9 +166,22 @@ class TelemetrySession:
         target.mkdir(parents=True, exist_ok=True)
         trace_path = target / "trace.json"
         metrics_path = target / "metrics.json"
+        # Compact, one event per encode call: each call runs in the C
+        # encoder (json.dump with indent never does), and no string of
+        # the whole document is ever held.
+        document = to_chrome_trace(self.ring)
+        events = document.pop("traceEvents")
+        encode = json.JSONEncoder(separators=(",", ":")).encode
         with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(self.ring), fh, indent=1)
-            fh.write("\n")
+            fh.write('{"traceEvents":[')
+            for i, event in enumerate(events):
+                if i:
+                    fh.write(",")
+                fh.write(encode(event))
+            fh.write("]")
+            for key, value in document.items():
+                fh.write(f",{encode(key)}:{encode(value)}")
+            fh.write("}\n")
         with open(metrics_path, "w", encoding="utf-8") as fh:
             json.dump(self.metrics_document(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -98,6 +98,43 @@ class TestRingCapacity:
         assert metrics["trace"]["events"] == 2
 
 
+class TestTraceExport:
+    """trace.json is written compact, one event per encode; it must
+    still load to exactly the document ``to_chrome_trace`` builds."""
+
+    def test_streamed_file_round_trips_to_chrome_trace(self, tmp_path):
+        with TelemetrySession(ring_capacity=5) as session:
+            trace.instant("dropped-0", trace.TRACK_CPU, ts_ns=1.0)
+            trace.instant("dropped-1", trace.TRACK_NMA, ts_ns=2.0)
+            trace.complete("compress", trace.TRACK_CPU, 10.0, 2500.5)
+            trace.complete(
+                "nma_decompress", trace.TRACK_NMA, 20.0, 7.25,
+                args={"bytes": 4096, "ratio": 2.5, "tier": "zswap"},
+            )
+            trace.instant(
+                "cpu_fallback", trace.TRACK_CPU, ts_ns=30.0,
+                args={"reason": "spm_full", "nested": {"k": [1, 2]}},
+            )
+            trace.instant("evict", "custom-track", ts_ns=40.0)
+            trace.instant("unicode é☃", "custom-track", ts_ns=50.0)
+            expected = trace.to_chrome_trace(session.ring)
+            session.write(tmp_path)
+        assert session.ring.dropped == 2
+        assert expected["otherData"] == {"dropped_events": 2}
+        phases = {e["ph"] for e in expected["traceEvents"]}
+        assert {"M", "X", "i"} <= phases
+        text = (tmp_path / "trace.json").read_text(encoding="utf-8")
+        assert _load(tmp_path / "trace.json") == expected
+        assert text.endswith("}\n") and "\n" not in text[:-1]
+        assert ", " not in text and '": ' not in text
+
+    def test_empty_ring_exports_metadata_only_document(self, tmp_path):
+        with TelemetrySession() as session:
+            expected = trace.to_chrome_trace(session.ring)
+            session.write(tmp_path)
+        assert _load(tmp_path / "trace.json") == expected
+
+
 class TestFlightRecorderLifecycle:
     def test_session_installs_and_removes_recorder(self):
         from repro.telemetry import flightrec
