@@ -1,7 +1,10 @@
 """Codec-level unit tests: format handling, registry, ratios."""
 
+import zlib
+
 import pytest
 
+from repro.compression import deflate, zstd_like
 from repro.compression import (
     DeflateCodec,
     LzFastCodec,
@@ -11,6 +14,8 @@ from repro.compression import (
     get_codec,
     space_savings,
 )
+from repro.compression.bitio import BitWriter
+from repro.compression.huffman import HuffmanTable
 from repro.errors import ConfigError, CorruptStreamError
 from repro.sfm.page import PAGE_SIZE
 
@@ -54,6 +59,63 @@ class TestCorruption:
         blob = codec.compress(json_pages[0])
         with pytest.raises(CorruptStreamError):
             codec.decompress(blob[: len(blob) // 2])
+
+
+#: An oversubscribed length set: four 1-bit codes already use the whole
+#: code space, so the 15-bit code after them is 65536, past 16 bits.
+_OVERSUBSCRIBED = [1, 1, 1, 1, 15]
+
+
+class TestOversubscribedHeaders:
+    """A corrupt header whose code lengths oversubscribe the code space
+    must surface as CorruptStreamError, like any other stored corruption."""
+
+    def test_zstd_like_literal_lengths(self):
+        payload = b"abcd" * 8
+        lengths = _OVERSUBSCRIBED + [0] * (256 - len(_OVERSUBSCRIBED))
+        writer = BitWriter()
+        writer.write_bits(zstd_like._MAGIC, 8)
+        writer.write_bits(zstd_like._MODE_COMPRESSED, 8)
+        zstd_like._write_varint_bits(writer, len(payload))
+        writer.write_bits(zlib.crc32(payload), 32)
+        writer.align_to_byte()
+        zstd_like._write_varint_bits(writer, len(payload))
+        for length in lengths:
+            writer.write_bits(length, 4)
+        writer.write_bits(0, len(payload))  # one 1-bit code per literal
+        zstd_like._write_varint_bits(writer, 1)  # one sequence:
+        zstd_like._write_varint_bits(writer, len(payload))  # all literals,
+        zstd_like._write_varint_bits(writer, 0)  # no match
+        with pytest.raises(CorruptStreamError):
+            ZstdLikeCodec().decompress(writer.getvalue())
+
+    def test_deflate_litlen_lengths(self):
+        payload = b"abcd" * 8
+        # Code-length alphabet: 0, 1, 15 and 18 (zero run), 2 bits each.
+        cl_lengths = [0] * deflate._NUM_CODELEN
+        for symbol in (0, 1, 15, 18):
+            cl_lengths[symbol] = 2
+        cl_table = HuffmanTable.from_lengths(cl_lengths)
+        zero_runs = [138, 138, 35]  # symbol 18 covers 11..138 zeros
+        assert len(_OVERSUBSCRIBED) + sum(zero_runs) == (
+            deflate._NUM_LITLEN + deflate._NUM_DIST
+        )
+        writer = BitWriter()
+        writer.write_bits(deflate._MAGIC, 8)
+        writer.write_bits(deflate._MODE_HUFFMAN, 8)
+        deflate._write_varint(writer, len(payload))
+        writer.write_bits(zlib.crc32(payload), 32)
+        for length in cl_lengths:
+            writer.write_bits(length, 3)
+        deflate._write_varint_bits(writer, len(_OVERSUBSCRIBED) + len(zero_runs))
+        for length in _OVERSUBSCRIBED:
+            cl_table.encode(writer, length)
+        for run in zero_runs:
+            cl_table.encode(writer, 18)
+            writer.write_bits(run - 11, 7)
+        writer.write_bits(0, 64)
+        with pytest.raises(CorruptStreamError):
+            DeflateCodec().decompress(writer.getvalue())
 
 
 class TestRatios:
