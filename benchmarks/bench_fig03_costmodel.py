@@ -4,33 +4,23 @@ Paper claims: SFM at 100% promotion takes ~8.5 years to break even with a
 DRAM-based DFM in cost; at 20% promotion SFM can beat even PMem-based DFM;
 DRAM-DFM's embodied emissions mean the (accelerated) SFM never breaks even
 within a 5-year server lifetime.
+
+The series tables are rendered by :func:`repro.analysis.goldens.fig3_table`,
+shared with ``python -m repro fig3``.
 """
 
 import pytest
 
-from repro.analysis.report import format_table
-from repro.costmodel import CostParams, MemoryKind, fig3_series
+from repro.analysis.goldens import fig3_table
+from repro.costmodel import CostParams, MemoryKind
 from repro.costmodel.breakeven import (
     sfm_vs_dfm_cost_breakeven,
     sfm_vs_dfm_emission_breakeven,
 )
 
 
-def _series_table(metric: str) -> str:
-    series = fig3_series(metric=metric)
-    years = series["dfm-dram"].years
-    headers = ["year"] + list(series)
-    rows = [
-        [year] + [round(series[k].normalized[i], 3) for k in series]
-        for i, year in enumerate(years)
-    ]
-    return format_table(
-        headers, rows, title=f"Fig. 3 ({metric}) — normalized to DFM (DRAM)"
-    )
-
-
 def test_fig3_cost(once, emit):
-    table = once(_series_table, "cost")
+    table = once(fig3_table, "cost")
     params = CostParams()
     be_100 = sfm_vs_dfm_cost_breakeven(params, 1.0)
     be_20_pmem = sfm_vs_dfm_cost_breakeven(params, 0.2, MemoryKind.PMEM)
@@ -47,7 +37,7 @@ def test_fig3_cost(once, emit):
 
 
 def test_fig3_emissions(once, emit):
-    table = once(_series_table, "emission")
+    table = once(fig3_table, "emission")
     params = CostParams()
     be_xfm = sfm_vs_dfm_emission_breakeven(params, 1.0, accelerated=True)
     be_cpu = sfm_vs_dfm_emission_breakeven(params, 0.2)

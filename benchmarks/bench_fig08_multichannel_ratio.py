@@ -12,7 +12,7 @@ shared with the golden-snapshot regression test in
 """
 
 from repro.analysis.figures import fig8_ratios
-from repro.analysis.goldens import FIG8_GOLDEN_KWARGS, fig8_table
+from repro.analysis.goldens import FIG8_GOLDEN_KWARGS, fig8_means, fig8_table
 from repro.core.multichannel import measure_corpus
 from repro.workloads.corpus import CORPUS_NAMES
 from repro.workloads.ingested import ingested_corpus_pages, ingested_domains
@@ -24,16 +24,7 @@ def test_fig8_multichannel_ratio(once, emit):
     )
     emit("fig08_multichannel", fig8_table(reports))
 
-    compressible = [r for r in reports if r.stored_ratio[1] > 1.3]
-    mean_retention = sum(
-        r.ratio_retention(4) for r in compressible
-    ) / len(compressible)
-    mean_red2 = sum(
-        r.savings_reduction_vs_inorder(2) for r in compressible
-    ) / len(compressible)
-    mean_red4 = sum(
-        r.savings_reduction_vs_inorder(4) for r in compressible
-    ) / len(compressible)
+    mean_retention, mean_red2, mean_red4 = fig8_means(reports)
 
     # Shape: monotone degradation, in the paper's ballpark.
     for report in reports:

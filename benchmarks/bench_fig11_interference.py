@@ -4,17 +4,14 @@ Paper claims (§8): under Baseline-CPU the SFM throughput degrades 5–20%
 and SPEC sees up to ~8% slowdown; Host-Lockout-NMA spares the SFM but
 costs SPEC up to ~15%; XFM eliminates the interference on both sides,
 yielding a 5–27% combined-performance improvement depending on the mix.
+
+The table is rendered by :func:`repro.analysis.goldens.fig11_table`,
+shared with ``python -m repro fig11``.
 """
 
-from repro.analysis.report import format_table
-from repro.interference.bandwidth import MemorySystem
-from repro.interference.corun import (
-    AntagonistConfig,
-    CorunConfig,
-    SfmMode,
-    simulate_corun,
-    xfm_improvement_pct,
-)
+from repro.analysis.figures import fig11_interference
+from repro.analysis.goldens import fig11_improvements, fig11_table
+from repro.interference.corun import AntagonistConfig, CorunConfig, SfmMode
 
 JOB_MIXES = {
     "mix-default": CorunConfig(),
@@ -32,51 +29,9 @@ JOB_MIXES = {
 }
 
 
-def _run_all():
-    return {
-        name: {mode: simulate_corun(config, mode) for mode in SfmMode}
-        for name, config in JOB_MIXES.items()
-    }
-
-
 def test_fig11_interference(once, emit):
-    results = once(_run_all)
-    rows = []
-    for mix, by_mode in results.items():
-        for mode, result in by_mode.items():
-            rows.append(
-                [
-                    mix,
-                    mode.value,
-                    round(result.spec_mean_degradation_pct, 2),
-                    round(result.spec_max_degradation_pct, 2),
-                    round(result.sfm_degradation_pct, 2),
-                    round(result.combined_throughput(), 4),
-                ]
-            )
-    table = format_table(
-        [
-            "job mix",
-            "config",
-            "SPEC mean deg %",
-            "SPEC max deg %",
-            "SFM deg %",
-            "combined tput",
-        ],
-        rows,
-        title="Fig. 11 — SPEC x SFM co-run interference",
-    )
-    improvements = []
-    for name, config in JOB_MIXES.items():
-        for against in (SfmMode.BASELINE_CPU, SfmMode.HOST_LOCKOUT_NMA):
-            improvements.append(
-                (name, against.value, xfm_improvement_pct(config, against))
-            )
-    table += "\nXFM combined-performance improvement:"
-    for name, against, pct in improvements:
-        table += f"\n  vs {against:18s} on {name}: {pct:5.1f}%"
-    table += "\n(paper: 5~27% depending on mix and comparison point)"
-    emit("fig11_interference", table)
+    results = once(fig11_interference, JOB_MIXES)
+    emit("fig11_interference", fig11_table(results))
 
     default = results["mix-default"]
     # Shape assertions mirroring the paper's reading of the figure.
@@ -88,7 +43,7 @@ def test_fig11_interference(once, emit):
         default[SfmMode.HOST_LOCKOUT_NMA].spec_max_degradation_pct
         > default[SfmMode.BASELINE_CPU].spec_max_degradation_pct
     )
-    pct_values = [pct for _, _, pct in improvements]
+    pct_values = [pct for _, _, pct in fig11_improvements(results)]
     assert max(pct_values) >= 15.0
     assert min(pct_values) >= 2.0
     assert max(pct_values) <= 30.0

@@ -306,6 +306,18 @@ def _kernel_tier_demote_batch() -> Callable[[], None]:
     return op
 
 
+def _best_of(op: Callable[[], None], repeats: int) -> float:
+    """Fastest of ``repeats`` timed runs of ``op``, after one warm-up run;
+    the overhead ratios divide two of these measured back to back."""
+    op()  # warm up
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        op()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def telemetry_overhead_ratio(repeats: int = 5) -> float:
     """Cost of the *disabled* telemetry guards on the deflate round-trip.
 
@@ -340,17 +352,8 @@ def telemetry_overhead_ratio(repeats: int = 5) -> float:
                 )
             codec.decompress(blob)
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     assert not _trace.tracing_enabled(), "guard must measure the off path"
-    return best_of(guarded) / best_of(plain)
+    return _best_of(guarded, repeats) / _best_of(plain, repeats)
 
 
 def span_overhead_ratio(repeats: int = 5) -> float:
@@ -403,20 +406,11 @@ def span_overhead_ratio(repeats: int = 5) -> float:
                 codec.decompress(blob)
         _flightrec.trigger(_flightrec.REASON_POISON)
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     assert not _trace.tracing_enabled(), "guard must measure the off path"
     assert _flightrec.current_recorder() is None, (
         "guard must measure the uninstalled flight-recorder path"
     )
-    return best_of(guarded) / best_of(plain)
+    return _best_of(guarded, repeats) / _best_of(plain, repeats)
 
 
 def tier_overhead_ratio(repeats: int = 5) -> float:
@@ -462,16 +456,8 @@ def tier_overhead_ratio(repeats: int = 5) -> float:
 
         return op
 
-    def best_of(op: Callable[[], None]) -> float:
-        op()  # warm up
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    return best_of(loop(piped_frontend)) / best_of(loop(plain_frontend))
+    piped = _best_of(loop(piped_frontend), repeats)
+    return piped / _best_of(loop(plain_frontend), repeats)
 
 
 #: name -> (setup, default inner iterations per timed batch).

@@ -18,23 +18,16 @@ Modes:
     algorithmic regressions (accidentally reverting to a bit-serial
     loop), not percent-level noise.
 
-``telemetry-guard``
-    Assert that the *disabled* telemetry guards cost < ``--max-overhead``
-    (default 3%) on the deflate round-trip kernel. Unlike ``check`` this
-    is an in-process ratio (guarded loop vs plain loop on the same
-    machine, same run), so the gate can afford to be tight.
-
-``span-guard``
-    Assert that the *disabled* span/quantile/flight-recorder guards cost
-    < ``--max-overhead`` (default 3%) at the pipeline's real
-    instrumentation-site density. Same in-process-ratio protocol as
-    ``telemetry-guard``.
-
-``tier-guard``
-    Assert that routing the zswap store/load path through a single-tier
-    ``TierPipeline`` costs < ``--max-overhead`` (default 5%) over the
-    same path on a bare ``SfmBackend``. Same in-process-ratio protocol
-    as ``telemetry-guard``.
+``telemetry-guard``, ``span-guard``, ``tier-guard``
+    In-process-ratio gates (guarded loop vs plain loop on the same
+    machine, same run), so unlike ``check`` they can afford to be tight.
+    Each asserts its overhead stays < ``--max-overhead``: the *disabled*
+    telemetry guards on the deflate round-trip kernel (default 3%); the
+    *disabled* span/quantile/flight-recorder guards at the pipeline's
+    real instrumentation-site density (default 3%); and routing the
+    zswap store/load path through a single-tier ``TierPipeline`` instead
+    of a bare ``SfmBackend`` (default 5%). One gate, ``cmd_ratio_guard``,
+    runs all three from the ``RATIO_GUARDS`` table.
 
 ``sim-guard``
     Assert that the shared simulated-clock/event core added <
@@ -58,6 +51,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Dict, NamedTuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -189,65 +183,58 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_telemetry_guard(args: argparse.Namespace) -> int:
+class RatioGuard(NamedTuple):
+    ratio: Callable[..., float]
+    max_overhead: float
+    help: str
+    measured: str
+    failure: str
+
+
+#: subcommand -> (overhead-ratio kernel, default gate, --help text,
+#: label of the measured line, why a failure matters).
+RATIO_GUARDS: Dict[str, RatioGuard] = {
+    "telemetry-guard": RatioGuard(
+        microbench.telemetry_overhead_ratio,
+        0.03,
+        "assert disabled telemetry costs < --max-overhead",
+        "disabled-telemetry overhead on deflate round-trip",
+        "the tracing_enabled() fast path must stay free when tracing is off",
+    ),
+    "span-guard": RatioGuard(
+        microbench.span_overhead_ratio,
+        0.03,
+        "assert disabled span/quantile guards cost < --max-overhead",
+        "disabled span/quantile instrumentation overhead",
+        "the span/quantile/flight-recorder guards must stay free when "
+        "tracing is off",
+    ),
+    "tier-guard": RatioGuard(
+        microbench.tier_overhead_ratio,
+        0.05,
+        "assert single-tier pipeline overhead < --max-overhead",
+        "single-tier pipeline overhead on zswap store/load",
+        "TierPipeline bookkeeping must stay negligible next to the codec "
+        "on the single-tier store path",
+    ),
+}
+
+
+def cmd_ratio_guard(args: argparse.Namespace) -> int:
+    guard = RATIO_GUARDS[args.mode]
+    name = args.mode.replace("-", " ")
     # Best-of-N both ways; take the minimum over trials so a single
     # noisy plain-loop batch can't fail the gate spuriously.
-    ratio = min(
-        microbench.telemetry_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
-    )
+    ratio = min(guard.ratio(repeats=args.repeats) for _ in range(args.trials))
     overhead = ratio - 1.0
     print(
-        f"disabled-telemetry overhead on deflate round-trip: "
+        f"{guard.measured}: "
         f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
     )
     if overhead > args.max_overhead:
-        print(
-            "telemetry guard FAILED: the tracing_enabled() fast path must "
-            "stay free when tracing is off"
-        )
+        print(f"{name} FAILED: {guard.failure}")
         return 1
-    print("telemetry guard passed")
-    return 0
-
-
-def cmd_span_guard(args: argparse.Namespace) -> int:
-    ratio = min(
-        microbench.span_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
-    )
-    overhead = ratio - 1.0
-    print(
-        f"disabled span/quantile instrumentation overhead: "
-        f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
-    )
-    if overhead > args.max_overhead:
-        print(
-            "span guard FAILED: the span/quantile/flight-recorder guards "
-            "must stay free when tracing is off"
-        )
-        return 1
-    print("span guard passed")
-    return 0
-
-
-def cmd_tier_guard(args: argparse.Namespace) -> int:
-    ratio = min(
-        microbench.tier_overhead_ratio(repeats=args.repeats)
-        for _ in range(args.trials)
-    )
-    overhead = ratio - 1.0
-    print(
-        f"single-tier pipeline overhead on zswap store/load: "
-        f"{overhead * 100:+.2f}% (gate: < {args.max_overhead * 100:.0f}%)"
-    )
-    if overhead > args.max_overhead:
-        print(
-            "tier guard FAILED: TierPipeline bookkeeping must stay "
-            "negligible next to the codec on the single-tier store path"
-        )
-        return 1
-    print("tier guard passed")
+    print(f"{name} passed")
     return 0
 
 
@@ -388,32 +375,14 @@ def main(argv=None) -> int:
     check.add_argument("--trace-dir", default=None)
     check.set_defaults(func=cmd_check)
 
-    guard = sub.add_parser(
-        "telemetry-guard",
-        help="assert disabled telemetry costs < --max-overhead",
-    )
-    guard.add_argument("--max-overhead", type=float, default=0.03)
-    guard.add_argument("--repeats", type=int, default=3)
-    guard.add_argument("--trials", type=int, default=3)
-    guard.set_defaults(func=cmd_telemetry_guard)
-
-    span_guard = sub.add_parser(
-        "span-guard",
-        help="assert disabled span/quantile guards cost < --max-overhead",
-    )
-    span_guard.add_argument("--max-overhead", type=float, default=0.03)
-    span_guard.add_argument("--repeats", type=int, default=3)
-    span_guard.add_argument("--trials", type=int, default=3)
-    span_guard.set_defaults(func=cmd_span_guard)
-
-    tier_guard = sub.add_parser(
-        "tier-guard",
-        help="assert single-tier pipeline overhead < --max-overhead",
-    )
-    tier_guard.add_argument("--max-overhead", type=float, default=0.05)
-    tier_guard.add_argument("--repeats", type=int, default=3)
-    tier_guard.add_argument("--trials", type=int, default=3)
-    tier_guard.set_defaults(func=cmd_tier_guard)
+    for mode, ratio_guard in RATIO_GUARDS.items():
+        guard = sub.add_parser(mode, help=ratio_guard.help)
+        guard.add_argument(
+            "--max-overhead", type=float, default=ratio_guard.max_overhead
+        )
+        guard.add_argument("--repeats", type=int, default=3)
+        guard.add_argument("--trials", type=int, default=3)
+        guard.set_defaults(func=cmd_ratio_guard)
 
     batch_guard = sub.add_parser(
         "batch-guard",

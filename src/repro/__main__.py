@@ -1,153 +1,77 @@
-"""Command-line entry point: regenerate the paper's figures and tables.
+"""Command-line entry point: regenerate the paper's figures and tables and
+run the far-memory campaigns.
 
 Usage::
 
-    python -m repro list                 # enumerate experiments
-    python -m repro table1 table2 fig3   # run specific ones
-    python -m repro all                  # everything (a few minutes)
+    python -m repro list                 # experiments and commands
+    python -m repro table1 table2 fig3   # run specific experiments
+    python -m repro all                  # every experiment (a few minutes)
+    python -m repro <command> --help     # e.g. replay, slo, fleet, chaos
 
-Each experiment prints the same rendered rows/series its benchmark emits;
-the benchmarks add timing and shape assertions on top of these.
+Each figure prints through the same :mod:`repro.analysis.goldens`
+renderer its benchmark writes to ``benchmarks/results``; fig. 8 and
+fig. 12 run with smaller parameters than their benches. Each command
+has its own parser (``COMMANDS``), so a flag one command does not take
+is a usage error (exit 2), never silently ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List
+import textwrap
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 def _fig1() -> str:
-    from repro.analysis.figures import (
-        fig1_bandwidth_series,
-        max_supported_sfm_gb,
-    )
-    from repro.analysis.report import format_table
+    from repro.analysis.figures import fig1_bandwidth_series
+    from repro.analysis.goldens import fig1_table
 
-    points = fig1_bandwidth_series()
-    table = format_table(
-        ["ranks", "SFM GB", "CPU-SFM GBps", "chan util %", "XFM util %"],
-        [
-            [
-                p.num_ranks,
-                p.sfm_capacity_gb,
-                round(p.cpu_sfm_channel_gbps, 1),
-                round(100 * p.cpu_utilization, 1),
-                round(100 * p.xfm_utilization, 1),
-            ]
-            for p in points
-        ],
-        title="Fig. 1 — SFM bandwidth vs ranks (100% promotion)",
-    )
-    return table + (
-        f"\nmax SFM on the refresh side channel @16 ranks: "
-        f"{max_supported_sfm_gb(16):.0f} GB"
-    )
+    return fig1_table(fig1_bandwidth_series())
 
 
 def _fig3() -> str:
-    from repro.analysis.report import format_table
-    from repro.costmodel import CostParams, fig3_series
+    from repro.analysis.goldens import fig3_table
+    from repro.costmodel import CostParams
     from repro.costmodel.breakeven import sfm_vs_dfm_cost_breakeven
 
-    series = fig3_series(metric="cost")
-    years = series["dfm-dram"].years
-    table = format_table(
-        ["year"] + list(series),
-        [
-            [year] + [round(series[k].normalized[i], 3) for k in series]
-            for i, year in enumerate(years)
-        ],
-        title="Fig. 3 (cost) — normalized to DFM (DRAM)",
-    )
     breakeven = sfm_vs_dfm_cost_breakeven(CostParams(), 1.0)
-    return table + f"\nSFM@100% cost break-even: {breakeven:.1f} years (paper: 8.5)"
+    return (
+        fig3_table("cost")
+        + f"\nSFM@100% cost break-even: {breakeven:.1f} years (paper: 8.5)"
+    )
 
 
 def _fig8() -> str:
     from repro.analysis.figures import fig8_ratios
-    from repro.analysis.report import format_table
+    from repro.analysis.goldens import fig8_table
 
-    reports = fig8_ratios(pages_per_corpus=4)
-    return format_table(
-        ["corpus", "1-DIMM", "2-DIMM", "4-DIMM", "savings loss@4 %"],
-        [
-            [
-                r.corpus,
-                round(r.stored_ratio[1], 2),
-                round(r.stored_ratio[2], 2),
-                round(r.stored_ratio[4], 2),
-                round(100 * r.savings_reduction_vs_inorder(4), 1),
-            ]
-            for r in reports
-        ],
-        title="Fig. 8 — multi-channel compression ratios",
-    )
+    return fig8_table(fig8_ratios(pages_per_corpus=4))
 
 
 def _fig11() -> str:
     from repro.analysis.figures import fig11_interference
-    from repro.analysis.report import format_table
+    from repro.analysis.goldens import fig11_table
 
-    results = fig11_interference()["default-mix"]
-    return format_table(
-        ["config", "SPEC mean deg %", "SPEC max deg %", "SFM deg %"],
-        [
-            [
-                mode.value,
-                round(result.spec_mean_degradation_pct, 2),
-                round(result.spec_max_degradation_pct, 2),
-                round(result.sfm_degradation_pct, 2),
-            ]
-            for mode, result in results.items()
-        ],
-        title="Fig. 11 — co-run interference (default mix)",
-    )
+    return fig11_table(fig11_interference())
 
 
 def _fig12() -> str:
     from repro.analysis.figures import fig12_fallbacks
+    from repro.analysis.goldens import fig12_table
+
+    return fig12_table(fig12_fallbacks(sim_time_s=0.05))
+
+
+def _table(number: int) -> str:
+    from repro.analysis import tables
     from repro.analysis.report import format_table
 
-    grid = fig12_fallbacks(sim_time_s=0.05)
-    rows = []
-    for promo, reports in grid.items():
-        for report in reports:
-            rows.append(
-                [
-                    f"{int(promo * 100)}%",
-                    report.config.spm_bytes >> 20,
-                    report.config.accesses_per_ref,
-                    round(100 * report.fallback_fraction, 2),
-                    round(100 * report.random_fraction, 1),
-                ]
-            )
-    return format_table(
-        ["promotion", "SPM MiB", "acc/REF", "fallback %", "random %"],
-        rows,
-        title="Fig. 12 — CPU fallbacks",
-    )
-
-
-def _table1() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE1_HEADERS, table1_rows
-
-    return format_table(TABLE1_HEADERS, table1_rows(), title="Table 1")
-
-
-def _table2() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE2_HEADERS, table2_rows
-
-    return format_table(TABLE2_HEADERS, table2_rows(), title="Table 2")
-
-
-def _table3() -> str:
-    from repro.analysis.report import format_table
-    from repro.analysis.tables import TABLE3_HEADERS, table3_rows
-
-    return format_table(TABLE3_HEADERS, table3_rows(), title="Table 3")
+    headers = getattr(tables, f"TABLE{number}_HEADERS")
+    rows = getattr(tables, f"table{number}_rows")()
+    return format_table(headers, rows, title=f"Table {number}")
 
 
 def _budget() -> str:
@@ -159,70 +83,62 @@ def _budget() -> str:
     )
 
 
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig1": _fig1,
-    "fig3": _fig3,
-    "fig8": _fig8,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
-    "budget": _budget,
+#: name -> (render function, one-line description).
+EXPERIMENTS: Dict[str, Tuple[Callable[[], str], str]] = {
+    "fig1": (_fig1, "SFM bandwidth vs rank count; XFM side-channel headroom"),
+    "fig3": (_fig3, "cost of SFM vs DFM over years (EQ1-EQ3)"),
+    "fig8": (_fig8, "multi-channel compression ratios on 16 corpora"),
+    "fig11": (_fig11, "SPEC x SFM co-run interference, three configs"),
+    "fig12": (_fig12, "CPU fallback rate vs SPM size x access budget"),
+    "table1": (
+        partial(_table, 1),
+        "DDR5 device configuration + conditional access capacity",
+    ),
+    "table2": (partial(_table, 2), "FPGA resource utilization"),
+    "table3": (partial(_table, 3), "FPGA power breakdown"),
+    "budget": (_budget, "refresh side-channel budget arithmetic (Sec. 4.3)"),
 }
 
-_DESCRIPTIONS = {
-    "fig1": "SFM bandwidth vs rank count; XFM side-channel headroom",
-    "fig3": "cost of SFM vs DFM over years (EQ1-EQ3)",
-    "fig8": "multi-channel compression ratios on 16 corpora",
-    "fig11": "SPEC x SFM co-run interference, three configs",
-    "fig12": "CPU fallback rate vs SPM size x access budget",
-    "table1": "DDR5 device configuration + conditional access capacity",
-    "table2": "FPGA resource utilization",
-    "table3": "FPGA power breakdown",
-    "budget": "refresh side-channel budget arithmetic (Sec. 4.3)",
-}
+#: The artifacts every :class:`TelemetrySession` with an ``out_dir`` writes.
+SESSION_FILES = ("trace.json", "metrics.json")
 
 
-def _cmd_replay(targets: List[str], args) -> int:
-    """``python -m repro replay <scenario|--trace-file>``: replay a swap
-    trace against a backend config. Exit 0 clean, 1 on digest mismatches
-    or missing pages, 2 on usage errors."""
-    from pathlib import Path
+def _print_wrote(
+    directory: Optional[Path], *names: str, indent: str = "  "
+) -> None:
+    """One ``wrote <path>`` line per artifact written under ``directory``
+    (none when the command ran without ``--out``)."""
+    for name in names if directory is not None else ():
+        print(f"{indent}wrote {directory / name}")
 
+
+def _load_trace(scenario: Optional[str], trace_file: Optional[str] = None):
+    """The trace to replay, or ``None`` after reporting why it is unusable."""
     from repro.errors import ScenarioError
     from repro.scenarios.format import ScenarioTrace
-    from repro.scenarios.replayer import TraceReplayer, format_report
-    from repro.scenarios.zoo import SCENARIOS, load_scenario
-    from repro.telemetry.session import TelemetrySession
-    from repro.tiering.factory import TIER_KINDS, make_tier
-    from repro.validation.hooks import validation
+    from repro.scenarios.zoo import load_scenario
 
-    if args.backend not in TIER_KINDS:
-        print(
-            f"unknown backend {args.backend!r} "
-            f"(have: {', '.join(TIER_KINDS)})",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if args.trace_file is not None:
-            trace = ScenarioTrace.load(args.trace_file)
-        else:
-            if len(targets) != 1 or targets[0] not in SCENARIOS:
-                print(
-                    "replay needs one scenario name "
-                    f"(have: {', '.join(sorted(SCENARIOS))}) "
-                    "or --trace-file PATH",
-                    file=sys.stderr,
-                )
-                return 2
-            trace = load_scenario(targets[0])
+        if trace_file is not None:
+            return ScenarioTrace.load(trace_file)
+        return load_scenario(scenario)
     except ScenarioError as exc:
         print(f"unusable trace: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    """Replay a swap trace against a backend config. Exit 0 clean, 1 on
+    digest mismatches or missing pages, 2 on usage errors."""
+    from repro.scenarios.replayer import TraceReplayer, format_report
+    from repro.telemetry.session import TelemetrySession
+    from repro.tiering.factory import make_tier
+    from repro.validation.hooks import validation
+
+    trace = _load_trace(args.scenario, args.trace_file)
+    if trace is None:
         return 2
-    out_dir = Path(args.out) if args.out else None
-    session = TelemetrySession(out_dir=out_dir)
+    session = TelemetrySession(out_dir=args.out)
     with session, validation(args.validation):
         target = make_tier(args.backend, registry=session.registry)
         report = TraceReplayer(
@@ -234,117 +150,27 @@ def _cmd_replay(targets: List[str], args) -> int:
             session=session,
         ).run()
     print(format_report(report))
-    if out_dir is not None:
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
+    _print_wrote(args.out, *SESSION_FILES)
     return 0 if report.clean else 1
 
 
-def _default_objectives(target) -> List[object]:
-    """Deterministic SLO set derived from the target's modeled latencies.
-
-    Pipeline targets get: stores within 2x the top tier's modeled
-    swap-out latency (cascades blow this budget — that is the point),
-    loads within 1.5x the mid tier's swap-in latency (a DFM round trip
-    violates it), plus a 99.9% availability objective over the
-    pipeline's error/loss counters. Flat targets get 2x their own
-    modeled latency per direction.
-    """
-    from repro.telemetry.slo import AvailabilityObjective, LatencyObjective
-
-    tiers = getattr(target, "tiers", None)
-    if tiers is not None:
-        store_budget_ns = 2.0 * tiers[0].swap_latency_s("out") * 1e9
-        mid = tiers[1] if len(tiers) > 1 else tiers[0]
-        load_budget_ns = 1.5 * mid.swap_latency_s("in") * 1e9
-        return [
-            LatencyObjective(
-                "store-latency",
-                op="store",
-                tier="pipeline",
-                threshold_ns=store_budget_ns,
-                target=0.95,
-            ),
-            LatencyObjective(
-                "load-latency",
-                op="load",
-                tier="pipeline",
-                threshold_ns=load_budget_ns,
-                target=0.95,
-            ),
-            AvailabilityObjective(
-                "availability",
-                target=0.999,
-                bad_metrics=(
-                    "tier_pipeline.tier_errors",
-                    "tier_pipeline.data_loss_events",
-                ),
-                total_metrics=(
-                    "tier_pipeline.stores",
-                    "tier_pipeline.loads",
-                    "tier_pipeline.prefetch_loads",
-                ),
-            ),
-        ]
-    tier_name = getattr(target, "tier_name", "?")
-    return [
-        LatencyObjective(
-            "store-latency",
-            op="store",
-            tier=tier_name,
-            threshold_ns=2.0 * target.swap_latency_s("out") * 1e9,
-            target=0.95,
-        ),
-        LatencyObjective(
-            "load-latency",
-            op="load",
-            tier=tier_name,
-            threshold_ns=2.0 * target.swap_latency_s("in") * 1e9,
-            target=0.95,
-        ),
-    ]
-
-
-def _cmd_slo(targets: List[str], args) -> int:
-    """``python -m repro slo <scenario>``: replay a zoo scenario under
-    tracing and evaluate latency/availability SLOs over simulated-time
-    windows. Exit 0 unless ``--fail-on-violation`` is set and an
-    objective missed its target."""
+def _cmd_slo(args: argparse.Namespace) -> int:
+    """Replay a zoo scenario under tracing and evaluate latency and
+    availability SLOs over simulated-time windows. Exit 0 unless
+    ``--fail-on-violation`` is set and an objective missed its target."""
     import json
-    from pathlib import Path
 
     from repro.analysis.report import format_latency_table
-    from repro.errors import ScenarioError
     from repro.scenarios.replayer import TraceReplayer
-    from repro.scenarios.zoo import SCENARIOS, load_scenario
     from repro.sfm.page import PAGE_SIZE
     from repro.telemetry.session import TelemetrySession
-    from repro.telemetry.slo import SloEngine
-    from repro.tiering.factory import TIER_KINDS, make_tier
+    from repro.telemetry.slo import SloEngine, default_objectives
+    from repro.tiering.factory import make_tier
 
-    if args.backend not in TIER_KINDS:
-        print(
-            f"unknown backend {args.backend!r} "
-            f"(have: {', '.join(TIER_KINDS)})",
-            file=sys.stderr,
-        )
+    trace = _load_trace(args.scenario)
+    if trace is None:
         return 2
-    if not targets and args.scenario:
-        targets = [args.scenario]
-    if len(targets) != 1 or targets[0] not in SCENARIOS:
-        print(
-            "slo needs one scenario name "
-            f"(have: {', '.join(sorted(SCENARIOS))})",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        trace = load_scenario(targets[0])
-    except ScenarioError as exc:
-        print(f"unusable trace: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else None
-    session = TelemetrySession(out_dir=out_dir)
+    session = TelemetrySession(out_dir=args.out)
     with session:
         # The goldens' 40-page pipeline split: small upper tiers force
         # the demotion cascades and cross-tier fetches that make the
@@ -356,7 +182,7 @@ def _cmd_slo(targets: List[str], args) -> int:
         )
         engine = SloEngine(
             session.registry,
-            _default_objectives(target),
+            default_objectives(target),
             window_ns=args.window_ns,
         )
         report = TraceReplayer(
@@ -379,10 +205,8 @@ def _cmd_slo(targets: List[str], args) -> int:
     summary = engine.summary()
     print(f"slo summary ({len(engine.windows)} window results, "
           f"window={args.window_ns:.0f} ns):")
-    all_met = True
     for name, row in summary.items():
         verdict = "met" if row["met"] else "VIOLATED"
-        all_met = all_met and bool(row["met"])
         print(
             f"  {name:16s}: target={row['target']:.3f} "
             f"attainment={row['attainment']:.4f} "
@@ -390,76 +214,47 @@ def _cmd_slo(targets: List[str], args) -> int:
             f"violated_windows={row['windows_violated']}/{row['windows']} "
             f"[{verdict}]"
         )
-    if out_dir is not None:
+    if args.out is not None:
         doc = {
             "scenario": report.scenario,
             "backend": report.backend,
             "latency_percentiles": report.latency_percentiles,
             "slo": engine.as_dict(),
         }
-        path = out_dir / "slo_report.json"
-        path.write_text(
+        (args.out / "slo_report.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
         )
-        print(f"  wrote {path}")
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
-    if args.fail_on_violation and not all_met:
-        return 1
-    return 0
+        _print_wrote(args.out, "slo_report.json", *SESSION_FILES)
+    all_met = all(row["met"] for row in summary.values())
+    return 1 if args.fail_on_violation and not all_met else 0
 
 
-def _cmd_record(targets: List[str], args) -> int:
-    """``python -m repro record <scenario>``: re-record a zoo scenario
-    from a live pipeline run and save the trace artifact."""
-    from pathlib import Path
-
+def _cmd_record(args: argparse.Namespace) -> int:
+    """Re-record a zoo scenario from a live pipeline run and save the
+    trace artifact."""
     from repro.scenarios.format import trace_fingerprint
-    from repro.scenarios.zoo import (
-        ARTIFACT_SUFFIX,
-        SCENARIOS,
-        build_scenario,
-    )
+    from repro.scenarios.zoo import ARTIFACT_SUFFIX, build_scenario
 
-    if len(targets) != 1 or targets[0] not in SCENARIOS:
-        print(
-            "record needs one scenario name "
-            f"(have: {', '.join(sorted(SCENARIOS))})",
-            file=sys.stderr,
-        )
-        return 2
-    name = targets[0]
-    trace = build_scenario(name, seed=args.seed)
-    if args.trace_file is not None:
-        path = Path(args.trace_file)
-    else:
-        out_base = Path(args.out) if args.out else Path("trace-out")
-        path = out_base / (name + ARTIFACT_SUFFIX)
+    trace = build_scenario(args.scenario, seed=args.seed)
+    path = args.trace_file or args.out / (args.scenario + ARTIFACT_SUFFIX)
     trace.save(path)
-    print(f"recorded scenario: {name}")
+    print(f"recorded scenario: {args.scenario}")
     print(f"  events      : {len(trace)}")
     print(f"  unique pages: {len(trace.pages)}")
     print(f"  fingerprint : {trace_fingerprint(trace)}")
-    print(f"  wrote {path}")
+    _print_wrote(path.parent, path.name)
     return 0
 
 
-def _cmd_ingest(targets: List[str], args) -> int:
-    """``python -m repro ingest <dir>``: page-ify a file tree into a
-    digest-verified per-domain corpus."""
-    from pathlib import Path
-
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    """Page-ify a file tree into a digest-verified per-domain corpus."""
     from repro.errors import ConfigError
     from repro.scenarios.ingest import IngestConfig, ingest_tree
 
-    if len(targets) != 1:
-        print("ingest needs exactly one root directory", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out) if args.out else Path("corpus-out")
     try:
         manifest = ingest_tree(
-            targets[0],
-            out_dir,
+            args.root,
+            args.out,
             IngestConfig(max_file_bytes=args.max_file_kib * 1024),
         )
     except ConfigError as exc:
@@ -470,21 +265,20 @@ def _cmd_ingest(targets: List[str], args) -> int:
         print(f"  {domain:10s}: {pages} pages")
     print(f"  total      : {manifest.total_pages()} pages "
           f"({manifest.page_size} B each)")
-    print(f"  wrote {out_dir / 'manifest.json'}")
+    _print_wrote(args.out, "manifest.json")
     return 0
 
 
-def _cmd_codectune(targets: List[str], args) -> int:
-    """``python -m repro codectune [<dir>]``: train per-domain static
-    Huffman tables (auto-tuned matcher parameters) and persist them.
+def _cmd_codectune(args: argparse.Namespace) -> int:
+    """Train per-domain static Huffman tables (auto-tuned matcher
+    parameters) and persist them.
 
-    ``<dir>`` is either an already-ingested corpus directory (containing
+    The corpus is either an already-ingested directory (containing
     ``manifest.json``) or a raw file tree, which is ingested into a
-    temporary directory first. Defaults to this repository's own
+    temporary directory first. It defaults to this repository's own
     ``src/`` tree — the first corpus the paper-style static tables are
     trained on."""
     import tempfile
-    from pathlib import Path
 
     from repro.compression.static_tables import (
         DEFAULT_TABLES_PATH,
@@ -499,28 +293,20 @@ def _cmd_codectune(targets: List[str], args) -> int:
         ingest_tree,
     )
 
-    if len(targets) > 1:
-        print("codectune takes at most one corpus directory", file=sys.stderr)
-        return 2
-    root = Path(targets[0]) if targets else Path(__file__).resolve().parents[1]
-    out_path = Path(args.out) if args.out else DEFAULT_TABLES_PATH
+    root = args.root or Path(__file__).resolve().parents[1]
+    out_path = args.out or DEFAULT_TABLES_PATH
     choices: dict = {}
     registry = StaticTableRegistry()
     try:
-        if (root / MANIFEST_NAME).exists():
-            manifest = CorpusManifest.load(root)
-        else:
-            with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp:
+            if (root / MANIFEST_NAME).exists():
+                manifest = CorpusManifest.load(root)
+            else:
                 manifest = ingest_tree(
                     root,
                     tmp,
                     IngestConfig(max_file_bytes=args.max_file_kib * 1024),
                 )
-                registry.train_from_manifest(
-                    manifest, tuner=make_tuner(record=choices)
-                )
-                manifest = None
-        if manifest is not None:
             registry.train_from_manifest(
                 manifest, tuner=make_tuner(record=choices)
             )
@@ -542,13 +328,13 @@ def _cmd_codectune(targets: List[str], args) -> int:
             f"sample ratio={choice.ratio:.2f}  "
             f"table_id=0x{entry.tables.table_id:08x}"
         )
-    print(f"  wrote {out_path}")
+    _print_wrote(out_path.parent, out_path.name)
     return 0
 
 
-def _cmd_fleet(targets: List[str], args) -> int:
-    """``python -m repro fleet``: run the deterministic overload campaign
-    (steady -> spike -> drain -> recovery) through the sharded frontend.
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    """Run the deterministic overload campaign (steady -> spike -> drain
+    -> recovery) through the sharded frontend.
 
     Exit 0 on a clean run, 1 when data integrity or an explicit
     expectation fails, 2 on usage errors. ``--expect-shed`` asserts the
@@ -557,17 +343,9 @@ def _cmd_fleet(targets: List[str], args) -> int:
     ``--expect-no-shed`` asserts a steady campaign sheds nothing;
     ``--fail-on-slo-violation`` additionally requires every SLO met.
     """
-    from pathlib import Path
-
     from repro.errors import ConfigError
     from repro.fleet.harness import FleetConfig, format_report, run_fleet
 
-    if targets:
-        print("fleet takes no positional arguments", file=sys.stderr)
-        return 2
-    if args.expect_shed and args.expect_no_shed:
-        print("--expect-shed and --expect-no-shed conflict", file=sys.stderr)
-        return 2
     scale = args.duration_scale
     try:
         config = FleetConfig(
@@ -588,15 +366,10 @@ def _cmd_fleet(targets: List[str], args) -> int:
     except ConfigError as exc:
         print(f"bad fleet config: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else None
-    report = run_fleet(config, out_dir)
+    report = run_fleet(config, args.out)
     print(format_report(report))
-    if out_dir is not None:
-        print(f"  wrote {out_dir / 'fleet_report.json'}")
-        print(f"  wrote {out_dir / 'trace.json'}")
-        print(f"  wrote {out_dir / 'metrics.json'}")
-        for name in report["flight_records"]:
-            print(f"  wrote {out_dir / name}")
+    files = ("fleet_report.json", *SESSION_FILES, *report["flight_records"])
+    _print_wrote(args.out, *files)
     verdict = report["verdict"]
     ok = verdict["acked_data_lost"] == 0
     ok = ok and verdict["silent_corruptions"] == 0
@@ -615,280 +388,327 @@ def _cmd_fleet(targets: List[str], args) -> int:
     return 0 if ok else 1
 
 
-def main(argv: List[str] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate figures/tables of the XFM paper.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=["list"],
-        help="experiment names, 'list', 'all', 'export <dir>', "
-        "'trace <workload>', 'tiers', 'chaos', 'replay <scenario>', "
-        "'slo <scenario>', 'record <scenario>', 'ingest <dir>', "
-        "'codectune [<dir>]', or 'fleet'",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output directory for 'trace'/'chaos' (default: trace-out)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="campaign seed for 'chaos'"
-    )
-    parser.add_argument(
-        "--ops", type=int, default=400, help="operation count for 'chaos'"
-    )
-    parser.add_argument(
-        "--profile",
-        default="transient",
-        help="fault profile for 'chaos' (transient|full)",
-    )
-    parser.add_argument(
-        "--validation",
-        action="store_true",
-        help="run 'chaos'/'replay' with the validation checkers on",
-    )
-    parser.add_argument(
-        "--backend",
-        default="pipeline",
-        help="replay target config (cpu|xfm|xfm-mc|dfm|pipeline)",
-    )
-    parser.add_argument(
-        "--fault-profile",
-        default=None,
-        help="replay under a chaos fault profile (transient|full)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="fault-plan seed for --fault-profile",
-    )
-    parser.add_argument(
-        "--trace-file",
-        default=None,
-        help="replay/record: explicit trace artifact path "
-        "(default: the shipped zoo artifact / <out>/<name>.trace.jsonl.gz)",
-    )
-    parser.add_argument(
-        "--max-file-kib",
-        type=int,
-        default=512,
-        help="ingest: skip files larger than this (KiB)",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        help="slo: scenario name (alternative to the positional form)",
-    )
-    parser.add_argument(
-        "--fail-on-violation",
-        action="store_true",
-        help="slo: exit nonzero when an objective misses its target",
-    )
-    parser.add_argument(
-        "--window-ns",
-        type=float,
-        default=15000.0,
-        help="slo: simulated-time window size in ns",
-    )
-    parser.add_argument(
-        "--fail-on-loss",
-        action="store_true",
-        help="exit nonzero if the chaos campaign lost or corrupted data",
-    )
-    parser.add_argument(
-        "--fleet-shards",
-        type=int,
-        default=4,
-        help="fleet: number of pipeline shards",
-    )
-    parser.add_argument(
-        "--rate-rps",
-        type=float,
-        default=35000.0,
-        help="fleet: steady-state offered arrival rate (requests/s)",
-    )
-    parser.add_argument(
-        "--spike-multiplier",
-        type=float,
-        default=5.0,
-        help="fleet: arrival-rate multiplier during the spike phase",
-    )
-    parser.add_argument(
-        "--duration-scale",
-        type=float,
-        default=1.0,
-        help="fleet: scale all phase durations (1.0 = 160 ms simulated)",
-    )
-    parser.add_argument(
-        "--kill-shard-at-ms",
-        type=float,
-        default=None,
-        help="fleet: chaos-kill shard-0 at this simulated millisecond",
-    )
-    parser.add_argument(
-        "--expect-shed",
-        action="store_true",
-        help="fleet: fail unless the spike sheds, recovery is clean, and "
-        "admitted spike p99 <= 3x steady p99",
-    )
-    parser.add_argument(
-        "--expect-no-shed",
-        action="store_true",
-        help="fleet: fail if any request was shed (steady campaigns)",
-    )
-    parser.add_argument(
-        "--fail-on-slo-violation",
-        action="store_true",
-        help="fleet: exit nonzero when an SLO misses its target",
-    )
-    args = parser.parse_args(argv)
-    names = args.experiments or ["list"]
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """Run one seeded fault campaign over the CPU-zswap -> XFM -> DFM
+    pipeline. Exit 1 unless every injected fault was detected and
+    accounted for (and, with ``--fail-on-loss``, nothing was lost)."""
+    from repro.errors import ConfigError
+    from repro.resilience.chaos import ChaosConfig, format_report, run_chaos
 
-    if names == ["list"]:
-        print("available experiments:")
-        for name, description in _DESCRIPTIONS.items():
-            print(f"  {name:8s} {description}")
-        print("run: python -m repro <name> [<name> ...] | all")
-        print("     python -m repro export <dir>   # CSV/JSON figure data")
-        print("     python -m repro trace <workload> [--out DIR]"
-              "   # Perfetto trace + metrics")
-        from repro.telemetry.runner import WORKLOADS
-
-        print(f"     trace workloads: {', '.join(sorted(WORKLOADS))}")
-        print("     python -m repro tiers [--out DIR]"
-              "   # 3-tier demotion/promotion demo")
-        print("     python -m repro chaos [--seed N] [--ops N]"
-              " [--profile P] [--out DIR]   # seeded fault campaign")
-        from repro.scenarios.zoo import SCENARIOS
-
-        print("     python -m repro replay <scenario> [--backend B]"
-              " [--fault-profile P] [--out DIR]   # replay a swap trace")
-        print(f"     replay scenarios: {', '.join(sorted(SCENARIOS))}"
-              " (or --trace-file PATH)")
-        print("     python -m repro slo <scenario> [--backend B]"
-              " [--window-ns N] [--out DIR]   # latency/availability SLOs")
-        print("     python -m repro record <scenario> [--seed N]"
-              " [--out DIR]   # re-record a zoo trace artifact")
-        print("     python -m repro ingest <dir> [--out DIR]"
-              " [--max-file-kib N]   # page-ify a file tree")
-        print("     python -m repro codectune [<dir>] [--out PATH]"
-              "   # train+tune static Huffman tables per domain")
-        print("     python -m repro fleet [--fleet-shards N] [--rate-rps R]"
-              " [--spike-multiplier M] [--kill-shard-at-ms T] [--out DIR]"
-              "   # overload campaign")
-        return 0
-    if names and names[0] == "replay":
-        return _cmd_replay(names[1:], args)
-    if names and names[0] == "slo":
-        return _cmd_slo(names[1:], args)
-    if names and names[0] == "record":
-        return _cmd_record(names[1:], args)
-    if names and names[0] == "ingest":
-        return _cmd_ingest(names[1:], args)
-    if names and names[0] == "codectune":
-        return _cmd_codectune(names[1:], args)
-    if names and names[0] == "fleet":
-        return _cmd_fleet(names[1:], args)
-    if names and names[0] == "chaos":
-        from pathlib import Path
-
-        from repro.resilience.chaos import (
-            ChaosConfig,
-            format_report,
-            run_chaos,
-        )
-
+    try:
         config = ChaosConfig(
             seed=args.seed,
             ops=args.ops,
             profile=args.profile,
             validate=args.validation,
         )
-        out_dir = Path(args.out) if args.out else None
-        report = run_chaos(config, out_dir)
-        print(format_report(report))
-        if out_dir is not None:
-            print(f"  wrote {out_dir / 'chaos_report.json'}")
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        verdict = report["verdict"]
-        clean = verdict["clean"] and verdict["all_detections_accounted"]
-        if args.fail_on_loss:
-            recovery = report["recovery"]
-            clean = clean and not recovery["data_loss_events"]
-            clean = clean and not recovery["poison_pages"]
-        return 0 if clean else 1
-    if names and names[0] == "tiers":
-        from pathlib import Path
+    except ConfigError as exc:
+        print(f"bad chaos config: {exc}", file=sys.stderr)
+        return 2
+    report = run_chaos(config, args.out)
+    print(format_report(report))
+    _print_wrote(args.out, "chaos_report.json", *SESSION_FILES)
+    verdict = report["verdict"]
+    clean = verdict["clean"] and verdict["all_detections_accounted"]
+    if args.fail_on_loss:
+        recovery = report["recovery"]
+        clean = clean and not recovery["data_loss_events"]
+        clean = clean and not recovery["poison_pages"]
+    return 0 if clean else 1
 
-        from repro.analysis.report import format_tier_stats
-        from repro.telemetry.runner import run_traced
 
-        out_dir = Path(args.out) if args.out else None
-        session, summary = run_traced("tiers", out_dir)
-        pipeline = summary.pop("_pipeline", None)
-        print("tier pipeline demo: cpu-zswap -> xfm -> dfm")
+def _cmd_tiers(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_tier_stats
+    from repro.telemetry.runner import run_traced
+
+    session, summary = run_traced("tiers", args.out)
+    pipeline = summary.pop("_pipeline", None)
+    print("tier pipeline demo: cpu-zswap -> xfm -> dfm")
+    for key, value in summary.items():
+        print(f"  {key:24s}: {value}")
+    if pipeline is not None:
+        print()
+        print(format_tier_stats(pipeline, title="per-tier counters"))
+    _print_wrote(args.out, *SESSION_FILES)
+    return 0
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.telemetry.runner import run_traced
+
+    names = args.workloads
+    if isinstance(names, str):  # argparse's default when none is named
+        names = [names]
+    for name in names:
+        out_dir = args.out / name if len(names) > 1 else args.out
+        session, summary = run_traced(name, out_dir)
+        print(f"trace workload: {name}")
         for key, value in summary.items():
+            if key.startswith("_"):
+                continue
             print(f"  {key:24s}: {value}")
-        if pipeline is not None:
-            print()
-            print(format_tier_stats(pipeline, title="per-tier counters"))
-        if out_dir is not None:
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        return 0
-    if names and names[0] == "trace":
-        from pathlib import Path
+        _print_wrote(out_dir, *SESSION_FILES)
+    return 0
 
-        from repro.telemetry.runner import WORKLOADS, run_traced
 
-        targets = names[1:] or ["zswap"]
-        unknown = [name for name in targets if name not in WORKLOADS]
-        if unknown:
-            print(
-                f"unknown trace workload(s): {', '.join(unknown)} "
-                f"(have: {', '.join(sorted(WORKLOADS))})",
-                file=sys.stderr,
-            )
-            return 2
-        out_base = Path(args.out) if args.out else Path("trace-out")
-        for name in targets:
-            out_dir = out_base / name if len(targets) > 1 else out_base
-            session, summary = run_traced(name, out_dir)
-            print(f"trace workload: {name}")
-            for key, value in summary.items():
-                if key.startswith("_"):
-                    continue
-                print(f"  {key:24s}: {value}")
-            print(f"  wrote {out_dir / 'trace.json'}")
-            print(f"  wrote {out_dir / 'metrics.json'}")
-        return 0
-    if names and names[0] == "export":
-        from pathlib import Path
+def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.analysis.export import EXPORTERS
 
-        from repro.analysis.export import EXPORTERS
+    args.dir.mkdir(parents=True, exist_ok=True)
+    for filename, exporter in EXPORTERS.items():
+        (args.dir / filename).write_text(exporter(), encoding="utf-8")
+    _print_wrote(args.dir, *EXPORTERS, indent="")
+    return 0
 
-        target = Path(names[1]) if len(names) > 1 else Path("figure-data")
-        target.mkdir(parents=True, exist_ok=True)
-        for filename, exporter in EXPORTERS.items():
-            (target / filename).write_text(exporter(), encoding="utf-8")
-            print(f"wrote {target / filename}")
-        return 0
+
+def _out_arg(
+    parser: argparse.ArgumentParser, help: str = "output directory", **kwargs
+) -> None:
+    parser.add_argument("--out", type=Path, help=help, **kwargs)
+
+
+def _scenario_arg(parser, **kwargs) -> None:
+    from repro.scenarios.zoo import SCENARIOS
+
+    parser.add_argument("scenario", choices=sorted(SCENARIOS), **kwargs)
+
+
+def _max_file_kib_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-file-kib",
+        type=int,
+        default=512,
+        help="skip files larger than this (KiB)",
+    )
+
+
+def _target_args(parser: argparse.ArgumentParser) -> None:
+    """The replay target and fault-injection flags of replay and slo."""
+    from repro.tiering.factory import TIER_KINDS
+
+    parser.add_argument("--backend", choices=TIER_KINDS, default="pipeline")
+    parser.add_argument(
+        "--fault-profile", help="inject a chaos fault profile (transient|full)"
+    )
+    parser.add_argument(
+        "--fault-seed", type=int, default=0, help="seed for --fault-profile"
+    )
+
+
+def _replay_args(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    _scenario_arg(source, nargs="?")
+    source.add_argument("--trace-file", help="trace artifact to replay")
+    _target_args(parser)
+    parser.add_argument(
+        "--validation", action="store_true", help="run the validation checkers"
+    )
+    _out_arg(parser, "write trace.json and metrics.json here")
+
+
+def _slo_args(parser: argparse.ArgumentParser) -> None:
+    _scenario_arg(parser)
+    _target_args(parser)
+    parser.add_argument(
+        "--window-ns",
+        type=float,
+        default=15000.0,
+        help="simulated-time window size in ns",
+    )
+    parser.add_argument(
+        "--fail-on-violation",
+        action="store_true",
+        help="exit 1 when an objective misses its target",
+    )
+    _out_arg(parser, "write slo_report.json and the telemetry here")
+
+
+def _record_args(parser: argparse.ArgumentParser) -> None:
+    _scenario_arg(parser)
+    parser.add_argument("--seed", type=int, default=0, help="build seed")
+    parser.add_argument(
+        "--trace-file",
+        type=Path,
+        help="artifact path (default: OUT/<scenario>.trace.jsonl.gz)",
+    )
+    _out_arg(parser, "artifact directory", default="trace-out")
+
+
+def _ingest_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("root", help="file tree to page-ify")
+    _max_file_kib_arg(parser)
+    _out_arg(parser, "corpus directory", default="corpus-out")
+
+
+def _codectune_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "root",
+        nargs="?",
+        type=Path,
+        help="ingested corpus or raw file tree (default: the repro sources)",
+    )
+    _max_file_kib_arg(parser)
+    _out_arg(parser, "tables file (default: the shipped static tables)")
+
+
+def _fleet_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
+    parser.add_argument(
+        "--fleet-shards", type=int, default=4, help="pipeline shards"
+    )
+    parser.add_argument(
+        "--rate-rps",
+        type=float,
+        default=35000.0,
+        help="steady-state offered arrival rate (requests/s)",
+    )
+    parser.add_argument(
+        "--spike-multiplier",
+        type=float,
+        default=5.0,
+        help="arrival-rate multiplier during the spike phase",
+    )
+    parser.add_argument(
+        "--duration-scale",
+        type=float,
+        default=1.0,
+        help="scale all phase durations (1.0 = 160 ms simulated)",
+    )
+    parser.add_argument(
+        "--kill-shard-at-ms",
+        type=float,
+        help="chaos-kill shard-0 at this simulated millisecond",
+    )
+    expect = parser.add_mutually_exclusive_group()
+    expect.add_argument(
+        "--expect-shed",
+        action="store_true",
+        help="fail unless the spike sheds, recovery is clean, and "
+        "admitted spike p99 <= 3x steady p99",
+    )
+    expect.add_argument(
+        "--expect-no-shed",
+        action="store_true",
+        help="fail if any request was shed (steady campaigns)",
+    )
+    parser.add_argument(
+        "--fail-on-slo-violation",
+        action="store_true",
+        help="exit 1 when an SLO misses its target",
+    )
+    _out_arg(parser, "write fleet_report.json and the telemetry here")
+
+
+def _chaos_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
+    parser.add_argument("--ops", type=int, default=400, help="operations")
+    parser.add_argument(
+        "--profile", default="transient", help="fault profile (transient|full)"
+    )
+    parser.add_argument(
+        "--validation", action="store_true", help="run the validation checkers"
+    )
+    parser.add_argument(
+        "--fail-on-loss",
+        action="store_true",
+        help="exit 1 if the campaign lost or corrupted data",
+    )
+    _out_arg(parser, "write chaos_report.json and the telemetry here")
+
+
+def _trace_args(parser: argparse.ArgumentParser) -> None:
+    from repro.telemetry.runner import WORKLOADS
+
+    parser.add_argument(
+        "workloads", nargs="*", choices=sorted(WORKLOADS), default="zswap"
+    )
+    _out_arg(parser, "output directory", default="trace-out")
+
+
+def _export_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("dir", nargs="?", type=Path, default="figure-data")
+
+
+#: name -> (handler, function that adds its arguments, one-line help).
+COMMANDS: Dict[str, Tuple[Callable, Callable, str]] = {
+    "replay": (_cmd_replay, _replay_args, "replay a swap trace"),
+    "slo": (_cmd_slo, _slo_args, "SLO burn report of a scenario replay"),
+    "record": (_cmd_record, _record_args, "re-record a zoo trace artifact"),
+    "ingest": (_cmd_ingest, _ingest_args, "page-ify a file tree"),
+    "codectune": (_cmd_codectune, _codectune_args, "train Huffman tables"),
+    "fleet": (_cmd_fleet, _fleet_args, "sharded-fleet overload campaign"),
+    "chaos": (_cmd_chaos, _chaos_args, "seeded fault campaign"),
+    "tiers": (_cmd_tiers, _out_arg, "3-tier demotion/promotion demo"),
+    "trace": (_cmd_trace, _trace_args, "Perfetto trace of a workload"),
+    "export": (_cmd_export, _export_args, "CSV/JSON figure data"),
+}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    handler, add_arguments, help = COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {name}", description=help
+    )
+    add_arguments(parser)
+    parser.set_defaults(run=handler)
+    return parser
+
+
+def _experiments_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate figures/tables of the XFM paper.",
+        epilog=f"commands: {', '.join(COMMANDS)} (see 'list')",
+    )
+    parser.add_argument(
+        "experiments", nargs="*", help="experiment names, 'all' or 'list'"
+    )
+    parser.set_defaults(run=_run_experiments)
+    return parser
+
+
+def _list() -> int:
+    print("available experiments:")
+    for name, (_, description) in EXPERIMENTS.items():
+        print(f"  {name:8s} {description}")
+    print("run: python -m repro <name> [<name> ...] | all")
+    print()
+    print("commands (python -m repro <command> --help for the flags):")
+    for name, (_, _, help) in COMMANDS.items():
+        print(f"  {name:10s} {help}")
+        usage = _command_parser(name).format_usage().rstrip()
+        print(textwrap.indent(usage, "    "))
+    return 0
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
+    names = args.experiments
+    if names in ([], ["list"]):
+        return _list()
     if names == ["all"]:
         names = list(EXPERIMENTS)
-
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     for name in names:
-        print(EXPERIMENTS[name]())
+        render, _ = EXPERIMENTS[name]
+        print(render())
         print()
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser, argv = _command_parser(argv[0]), argv[1:]
+    else:
+        parser = _experiments_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on usage errors
+        return exc.code
+    return args.run(args)
 
 
 if __name__ == "__main__":

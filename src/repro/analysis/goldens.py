@@ -1,20 +1,27 @@
 """Golden-snapshot renderers for the analysis layer.
 
-The fig. 8 and fig. 12 benches and the ``tests/validation`` golden
-tests must render byte-identical text from the same report objects, so
-the table formatting lives here rather than in the bench bodies. A
-refactor that shifts any number in these tables shows up as a golden
-diff against ``benchmarks/results/*.txt`` instead of silently drifting
-the paper reproduction.
+The figure benches, the ``tests/validation`` golden tests and the
+``python -m repro`` CLI must render byte-identical text from the same
+report objects, so the table formatting lives here rather than in the
+bench bodies. A refactor that shifts any number in these tables shows
+up as a golden diff against ``benchmarks/results/*.txt`` instead of
+silently drifting the paper reproduction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
+from repro.analysis.figures import (
+    Fig1Point,
+    max_supported_sfm_gb,
+    side_channel_gbps,
+)
 from repro.analysis.report import format_table
 from repro.core.emulator import EmulatorReport
 from repro.core.multichannel import MultiChannelReport
+from repro.costmodel import fig3_series
+from repro.interference.corun import CorunResult, SfmMode
 
 #: The exact parameters the committed golden files were generated with.
 FIG8_GOLDEN_KWARGS = {"pages_per_corpus": 6}
@@ -50,6 +57,69 @@ def replay_summary(report) -> str:
     return format_report(report)
 
 
+def fig1_table(points: Sequence[Fig1Point]) -> str:
+    """The Fig. 1 table exactly as ``bench_fig01`` writes it."""
+    rows = [
+        [
+            p.num_ranks,
+            p.sfm_capacity_gb,
+            round(p.cpu_sfm_channel_gbps, 2),
+            round(100 * p.cpu_utilization, 1),
+            round(p.xfm_per_rank_gbps, 3),
+            round(p.side_channel_per_rank_gbps, 2),
+            round(100 * p.xfm_utilization, 1),
+        ]
+        for p in points
+    ]
+    table = format_table(
+        [
+            "ranks",
+            "SFM GB",
+            "CPU-SFM GBps",
+            "chan util %",
+            "XFM/rank GBps",
+            "side-chan GBps",
+            "XFM util %",
+        ],
+        rows,
+        title="Fig. 1 — SFM bandwidth vs ranks (100% promotion)",
+    )
+    return table + (
+        f"\nside channel/rank: {side_channel_gbps():.2f} GBps"
+        f"\nmax SFM capacity @16 ranks, 100% promotion:"
+        f" {max_supported_sfm_gb(num_ranks=16):.0f} GB (paper: up to ~1 TB)"
+    )
+
+
+def fig3_table(metric: str) -> str:
+    """The Fig. 3 series table (``"cost"`` or ``"emission"``) that
+    ``bench_fig03`` writes above its break-even lines."""
+    series = fig3_series(metric=metric)
+    years = series["dfm-dram"].years
+    headers = ["year"] + list(series)
+    rows = [
+        [year] + [round(series[k].normalized[i], 3) for k in series]
+        for i, year in enumerate(years)
+    ]
+    return format_table(
+        headers, rows, title=f"Fig. 3 ({metric}) — normalized to DFM (DRAM)"
+    )
+
+
+def fig8_means(
+    reports: Sequence[MultiChannelReport],
+) -> Tuple[float, float, float]:
+    """Mean ratio retained at 4 DIMMs and mean savings reduction at 2 and
+    4 DIMMs over the compressible corpora (1-DIMM ratio > 1.3)."""
+    compressible = [r for r in reports if r.stored_ratio[1] > 1.3]
+    n = len(compressible)
+    return (
+        sum(r.ratio_retention(4) for r in compressible) / n,
+        sum(r.savings_reduction_vs_inorder(2) for r in compressible) / n,
+        sum(r.savings_reduction_vs_inorder(4) for r in compressible) / n,
+    )
+
+
 def fig8_table(reports: Sequence[MultiChannelReport]) -> str:
     """The Fig. 8 table exactly as ``bench_fig08`` writes it."""
     rows = []
@@ -65,16 +135,7 @@ def fig8_table(reports: Sequence[MultiChannelReport]) -> str:
                 round(100 * report.savings_reduction_vs_inorder(4), 1),
             ]
         )
-    compressible = [r for r in reports if r.stored_ratio[1] > 1.3]
-    mean_retention = sum(
-        r.ratio_retention(4) for r in compressible
-    ) / len(compressible)
-    mean_red2 = sum(
-        r.savings_reduction_vs_inorder(2) for r in compressible
-    ) / len(compressible)
-    mean_red4 = sum(
-        r.savings_reduction_vs_inorder(4) for r in compressible
-    ) / len(compressible)
+    mean_retention, mean_red2, mean_red4 = fig8_means(reports)
     table = format_table(
         [
             "corpus",
@@ -94,6 +155,53 @@ def fig8_table(reports: Sequence[MultiChannelReport]) -> str:
         f"\nmean savings reduction @2: {100 * mean_red2:.1f}% (paper: ~5%)"
         f"\nmean savings reduction @4: {100 * mean_red4:.1f}% (paper: ~14%)"
     )
+    return table
+
+
+def fig11_improvements(
+    results: Dict[str, Dict[SfmMode, CorunResult]],
+) -> Iterator[Tuple[str, SfmMode, float]]:
+    """(job mix, compared mode, XFM combined-performance gain %) for each
+    mix against Baseline-CPU and Host-Lockout-NMA."""
+    for mix, by_mode in results.items():
+        xfm = by_mode[SfmMode.XFM].combined_throughput()
+        for against in (SfmMode.BASELINE_CPU, SfmMode.HOST_LOCKOUT_NMA):
+            other = by_mode[against].combined_throughput()
+            yield mix, against, (xfm / other - 1.0) * 100.0
+
+
+def fig11_table(results: Dict[str, Dict[SfmMode, CorunResult]]) -> str:
+    """The Fig. 11 table exactly as ``bench_fig11`` writes it, for the
+    ``{job mix: {mode: result}}`` map ``fig11_interference`` returns."""
+    rows = []
+    for mix, by_mode in results.items():
+        for mode, result in by_mode.items():
+            rows.append(
+                [
+                    mix,
+                    mode.value,
+                    round(result.spec_mean_degradation_pct, 2),
+                    round(result.spec_max_degradation_pct, 2),
+                    round(result.sfm_degradation_pct, 2),
+                    round(result.combined_throughput(), 4),
+                ]
+            )
+    table = format_table(
+        [
+            "job mix",
+            "config",
+            "SPEC mean deg %",
+            "SPEC max deg %",
+            "SFM deg %",
+            "combined tput",
+        ],
+        rows,
+        title="Fig. 11 — SPEC x SFM co-run interference",
+    )
+    table += "\nXFM combined-performance improvement:"
+    for mix, against, pct in fig11_improvements(results):
+        table += f"\n  vs {against.value:18s} on {mix}: {pct:5.1f}%"
+    table += "\n(paper: 5~27% depending on mix and comparison point)"
     return table
 
 

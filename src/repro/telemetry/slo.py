@@ -306,3 +306,66 @@ class SloEngine:
             ],
             "summary": self.summary(),
         }
+
+
+def default_objectives(target) -> List[object]:
+    """Deterministic SLO set derived from the target's modeled latencies.
+
+    Pipeline targets get: stores within 2x the top tier's modeled
+    swap-out latency (cascades blow this budget — that is the point),
+    loads within 1.5x the mid tier's swap-in latency (a DFM round trip
+    violates it), plus a 99.9% availability objective over the
+    pipeline's error/loss counters. Flat targets get 2x their own
+    modeled latency per direction.
+    """
+    tiers = getattr(target, "tiers", None)
+    if tiers is not None:
+        store_budget_ns = 2.0 * tiers[0].swap_latency_s("out") * 1e9
+        mid = tiers[1] if len(tiers) > 1 else tiers[0]
+        load_budget_ns = 1.5 * mid.swap_latency_s("in") * 1e9
+        return [
+            LatencyObjective(
+                "store-latency",
+                op="store",
+                tier="pipeline",
+                threshold_ns=store_budget_ns,
+                target=0.95,
+            ),
+            LatencyObjective(
+                "load-latency",
+                op="load",
+                tier="pipeline",
+                threshold_ns=load_budget_ns,
+                target=0.95,
+            ),
+            AvailabilityObjective(
+                "availability",
+                target=0.999,
+                bad_metrics=(
+                    "tier_pipeline.tier_errors",
+                    "tier_pipeline.data_loss_events",
+                ),
+                total_metrics=(
+                    "tier_pipeline.stores",
+                    "tier_pipeline.loads",
+                    "tier_pipeline.prefetch_loads",
+                ),
+            ),
+        ]
+    tier_name = getattr(target, "tier_name", "?")
+    return [
+        LatencyObjective(
+            "store-latency",
+            op="store",
+            tier=tier_name,
+            threshold_ns=2.0 * target.swap_latency_s("out") * 1e9,
+            target=0.95,
+        ),
+        LatencyObjective(
+            "load-latency",
+            op="load",
+            tier=tier_name,
+            threshold_ns=2.0 * target.swap_latency_s("in") * 1e9,
+            target=0.95,
+        ),
+    ]

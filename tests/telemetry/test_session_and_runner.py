@@ -281,7 +281,7 @@ class TestRunnerAndCli:
         from repro.__main__ import main
 
         assert main(["trace", "bogus", "--out", str(tmp_path)]) == 2
-        assert "unknown trace workload" in capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_all_workloads_registered(self):
         assert set(WORKLOADS) == {"zswap", "emulator", "tiers"}
